@@ -8,10 +8,15 @@ the committed ones ("baseline"):
 - **throughput** (engine ``batch_windows_per_second``, serve
   ``service_requests_per_second``): fails on a drop of more than
   ``--max-throughput-regression`` (default 10 %);
-- **event-engine sparsity win** (engine ``density_sweep``): fails when
-  the current run's best event-over-batch speedup at input density
-  <= 10 % falls below ``--min-event-speedup`` (default 3x) — an
-  absolute floor, like the overhead budget, not a delta;
+- **sparse-path win** (engine ``density_sweep``): fails when the
+  current run's best sparse-over-dense speedup (``event_speedup``) at
+  input density <= 10 % falls below ``--min-event-speedup`` (default
+  3x) — an absolute floor, like the overhead budget, not a delta;
+- **adaptive tick-path choice** (engine ``density_sweep``): fails when,
+  at any density, the adaptive arm's windows/sec falls below
+  ``--min-adaptive-ratio`` (default 0.95) times the faster of the
+  forced-dense and forced-sparse arms — also an absolute floor; warns
+  and passes when the payload has no adaptive arm (older payloads);
 - **observability overhead** (serve ``obs_overhead_fraction`` and the
   sharded worker tier's ``sharded_obs_overhead_fraction``, which adds
   cross-process span and metrics-delta shipping): fails when the
@@ -97,42 +102,85 @@ def _check_throughput(name, metric, baseline, current, max_regression):
     return []
 
 
-def _check_event_sweep(current, min_event_speedup):
-    """Absolute floor on the event engine's sparse-density speedup."""
+def _sweep_points(current):
+    """The current run's density-sweep points (warns when absent)."""
     sweep = current.get("density_sweep")
     if not isinstance(sweep, dict) or not sweep.get("points"):
         print("WARN: BENCH_engine.json: no density_sweep in current run; "
-              "skipping event-engine gate")
+              "skipping tick-path gates")
         return []
+    return sweep["points"]
+
+
+def _check_event_sweep(points, min_event_speedup):
+    """Absolute floor on the sparse path's speedup at sparse density."""
     sparse = [
-        point for point in sweep["points"]
+        point for point in points
         if isinstance(point.get("density"), (int, float))
         and point["density"] <= 0.10
         and isinstance(point.get("event_speedup"), (int, float))
     ]
     if not sparse:
         print("WARN: BENCH_engine.json: density_sweep has no <=10% points; "
-              "skipping event-engine gate")
+              "skipping sparse-path gate")
         return []
     best = max(sparse, key=lambda point: point["event_speedup"])
     speedup = best["event_speedup"]
     verdict = "FAIL" if speedup < min_event_speedup else "ok"
     print(
-        f"{verdict}: BENCH_engine.json: event engine {speedup:.1f}x over "
-        f"batch at density {best['density']:.0%} "
+        f"{verdict}: BENCH_engine.json: sparse path {speedup:.1f}x over "
+        f"dense at density {best['density']:.0%} "
         f"(floor {min_event_speedup:.1f}x)"
     )
     if speedup < min_event_speedup:
         return [
-            f"BENCH_engine.json: event speedup {speedup:.1f}x at sparse "
+            f"BENCH_engine.json: sparse speedup {speedup:.1f}x at sparse "
             f"density below the {min_event_speedup:.1f}x floor"
         ]
     return []
 
 
+def _check_adaptive_sweep(points, min_adaptive_ratio):
+    """Absolute floor on adaptive vs the faster forced path, every density."""
+    arms = (
+        "adaptive_windows_per_second",
+        "batch_windows_per_second",
+        "event_windows_per_second",
+    )
+    points = [
+        point for point in points
+        if all(isinstance(point.get(arm), (int, float)) for arm in arms)
+    ]
+    if not points:
+        print("WARN: BENCH_engine.json: density_sweep has no adaptive arm; "
+              "skipping adaptive gate")
+        return []
+    failures = []
+    for point in points:
+        best = max(point["batch_windows_per_second"], point["event_windows_per_second"])
+        ratio = point["adaptive_windows_per_second"] / best if best > 0 else 0.0
+        verdict = "FAIL" if ratio < min_adaptive_ratio else "ok"
+        print(
+            f"{verdict}: BENCH_engine.json: adaptive at density "
+            f"{point.get('density', float('nan')):.0%} is {ratio:.2f}x the "
+            f"faster forced path (floor {min_adaptive_ratio:.2f}x)"
+        )
+        if ratio < min_adaptive_ratio:
+            failures.append(
+                f"BENCH_engine.json: adaptive {ratio:.2f}x the faster forced "
+                f"path at density {point.get('density')} below the "
+                f"{min_adaptive_ratio:.2f}x floor"
+            )
+    return failures
+
+
 def check_engine(baseline, current, args):
-    """Engine throughput, plus the event engine's sparsity floor."""
-    failures = _check_event_sweep(current, args.min_event_speedup)
+    """Engine throughput, plus the tick-path sweep's floors."""
+    failures = []
+    points = _sweep_points(current)
+    if points:
+        failures += _check_event_sweep(points, args.min_event_speedup)
+        failures += _check_adaptive_sweep(points, args.min_adaptive_ratio)
     keys = ("workload", "batch_size")
     if _config(baseline, keys) != _config(current, keys):
         print("WARN: BENCH_engine.json: workload configs differ; "
@@ -338,7 +386,12 @@ def main() -> int:
     )
     parser.add_argument(
         "--min-event-speedup", type=float, default=3.0,
-        help="required event-over-batch speedup at <=10%% input density",
+        help="required sparse-over-dense speedup at <=10%% input density",
+    )
+    parser.add_argument(
+        "--min-adaptive-ratio", type=float, default=0.95,
+        help="required adaptive rate over the faster forced tick path at "
+        "every sweep density (default 0.95)",
     )
     parser.add_argument(
         "--max-obs-overhead", type=float, default=0.05,

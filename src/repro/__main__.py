@@ -20,8 +20,8 @@ Usage::
     python -m repro slo <cmd>         # any command + latency/energy SLOs
 
 ``--small`` shrinks the data split for a faster (noisier) run.
-``--engine`` selects the simulation engine (``batch`` = the vectorized
-PR-1 engine, ``event`` = the sparse event-driven engine; both are
+``--engine`` selects the simulation engine (``batch`` and ``event`` both
+run the compiled engine, dense or sparse per tick; both are
 bit-identical to ``reference``) where a command runs the simulator;
 ``--chunk-size`` sets windows per classifier call.
 

@@ -86,8 +86,11 @@ class RunActivity:
     slicing any field by lane is well defined.
 
     Attributes:
-        engine: ``"reference"``, ``"batch"``, or ``"event"`` (which
-            engine produced it).
+        engine: ``"reference"``, ``"batch"``, or ``"event"``: the
+            ``Simulator`` engine name the run was asked for. ``batch``
+            and ``event`` are the same compiled engine, which takes a
+            dense or a sparse path per tick; the label only records the
+            name chosen.
         ticks: ticks simulated.
         batch: lanes simulated.
         n_cores: cores in the system.

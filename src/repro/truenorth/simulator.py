@@ -53,17 +53,19 @@ class SimulationResult:
 class Simulator:
     """Runs a system tick by tick, feeding inputs and recording probes.
 
-    Three interchangeable engines back the same API. The ``reference``
-    engine advances one core at a time through
-    :meth:`NeurosynapticCore.tick` and is the tick-accurate ground
-    truth. The ``batch`` engine (:mod:`repro.truenorth.engine`) compiles
-    the system into stacked arrays and evaluates whole batches of input
-    windows with one matmul per tick. The ``event`` engine
-    (:mod:`repro.truenorth.event_engine`) shares that compilation but
-    advances only cores with pending spike deliveries or unsettled leak
-    dynamics, skipping quiescent cores — fastest at sparse activity and
-    small batch sizes. The conformance suite proves all engines'
-    rasters bit-identical to the reference. Single-lane :meth:`run`
+    Two implementations back the same API. The ``reference`` engine
+    advances one core at a time through :meth:`NeurosynapticCore.tick`
+    and is the tick-accurate ground truth. The ``batch`` and ``event``
+    names both select the compiled engine
+    (:class:`repro.truenorth.engine.BatchEngine`): it compiles the
+    system into stacked arrays and evaluates whole batches of input
+    windows in one tick loop that, per tick, either integrates every
+    core with one stacked matmul or, when few cores are active,
+    advances only cores with pending deliveries or unsettled leak
+    dynamics. The two names differ only in the ``engine`` label of
+    their :class:`repro.obs.hwcounters.RunActivity` ledgers. The
+    conformance suite proves the rasters and ledgers of both paths
+    bit-identical to the reference. Single-lane :meth:`run`
     results are bit-identical across engines for the same ``rng``;
     :meth:`run_batch` lane ``i`` is bit-identical to a reference run
     seeded with ``spawn_generators(rng, batch)[i]`` on any engine.
@@ -100,17 +102,15 @@ class Simulator:
 
             self._faults = compile_faults(faults, system)
         self._lane = 0  # lane index this simulator plays in a batch run
-        # The compiled engine backing this simulator (BatchEngine or its
-        # event-driven subclass); None means the reference loop runs.
+        # The compiled engine backing this simulator; None means the
+        # reference loop runs. "batch" and "event" build the same
+        # engine, whose ledgers keep the name asked for.
         self._batch_engine = None
-        if engine == "batch":
+        if engine != "reference":
             from repro.truenorth.engine import BatchEngine
 
             self._batch_engine = BatchEngine(system, faults=self._faults)
-        elif engine == "event":
-            from repro.truenorth.event_engine import EventEngine
-
-            self._batch_engine = EventEngine(system, faults=self._faults)
+            self._batch_engine.engine_name = engine
 
     def run(
         self,

@@ -5,12 +5,13 @@ Each :class:`EngineCase` describes one small :class:`NeurosynapticSystem`
 or randomized (deterministic and stochastic neurons, multi-core routing
 with mixed delays) — together with the tick count and seeds under which
 the differential harness exercises it. Builders are pure functions of
-their seed so the reference engine, the batch engine, and the checked-in
+their seed so the reference engine, the compiled engine, and the checked-in
 golden traces all see the identical system.
 """
 
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict, Iterator, Tuple
 
 import numpy as np
 
@@ -21,17 +22,38 @@ from repro.corelets.library.pattern_match import (
     gradient_templates,
 )
 from repro.corelets.library.weighted_sum import NeuronMode, WeightedSumCorelet
-from repro.truenorth.simulator import ENGINES
+from repro.truenorth import engine as engine_module
 from repro.truenorth.system import NeurosynapticSystem
 from repro.truenorth.types import NeuronParameters, ResetMode
 
-#: The compiled engines, each differentially tested against "reference".
-COMPILED_ENGINES: Tuple[str, ...] = tuple(
-    engine for engine in ENGINES if engine != "reference"
-)
+#: The compiled engine's tick-path modes, each differentially tested
+#: against "reference", mapped to the dense-path threshold they force:
+#: ``batch`` takes the dense path every tick, ``event`` the sparse path
+#: every tick, and ``adaptive`` keeps the engine's per-tick choice.
+PATH_MODES: Dict[str, float] = {
+    "batch": 0.0,
+    "event": float("inf"),
+    "adaptive": engine_module._DENSE_FRACTION,
+}
+
+
+@contextmanager
+def tick_path(mode: str) -> Iterator[str]:
+    """Force the compiled engine's tick path for ``mode`` while open.
+
+    Yields the ``Simulator`` engine name to build with: the mode itself
+    for ``batch``/``event``, and ``event`` for ``adaptive`` (both names
+    build the same engine).
+    """
+    saved = engine_module._DENSE_FRACTION
+    engine_module._DENSE_FRACTION = PATH_MODES[mode]
+    try:
+        yield "event" if mode == "adaptive" else mode
+    finally:
+        engine_module._DENSE_FRACTION = saved
 
 #: Input spike densities the conformance matrix sweeps: silent, sparse
-#: (the event engine's home turf), realistic, dense, and saturated.
+#: (the sparse path's home turf), realistic, dense, and saturated.
 DENSITIES: Tuple[float, ...] = (0.0, 0.01, 0.1, 0.5, 1.0)
 
 
@@ -191,11 +213,12 @@ def batched_inputs(
 
 __all__ = [
     "CASES_BY_NAME",
-    "COMPILED_ENGINES",
     "DENSITIES",
     "ENGINE_CASES",
     "EngineCase",
+    "PATH_MODES",
     "batched_inputs",
     "random_system",
     "shared_inputs",
+    "tick_path",
 ]

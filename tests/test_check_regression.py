@@ -33,6 +33,23 @@ ENGINE = {
     "batch_size": 32,
     "batch_windows_per_second": 20.0,
 }
+
+
+def _sweep(adaptive=None):
+    """An engine payload whose density sweep has a forced-dense rate of
+    10/s and a forced-sparse rate of 40/s at 1% density, with the given
+    adaptive rate (no adaptive arm when ``None``)."""
+    point = {
+        "density": 0.01,
+        "batch_windows_per_second": 10.0,
+        "event_windows_per_second": 40.0,
+        "event_speedup": 4.0,
+    }
+    if adaptive is not None:
+        point["adaptive_windows_per_second"] = adaptive
+    return {**ENGINE, "density_sweep": {"points": [point]}}
+
+
 SERVE = {
     "workload": {"requests": 96, "concurrency": 32},
     "service": {"max_batch_size": 8},
@@ -100,6 +117,10 @@ class TestPassPaths:
             tmp_path, {"engine": ENGINE, "serve": SERVE}, current
         ) == 0
 
+    def test_adaptive_tracking_the_faster_path_passes(self, tmp_path):
+        current = {"engine": _sweep(adaptive=38.5)}
+        assert _run(tmp_path, {"engine": ENGINE}, current) == 0
+
     def test_small_regression_within_floor_passes(self, tmp_path):
         current = {"engine": {**ENGINE, "batch_windows_per_second": 18.5}}
         assert _run(tmp_path, {"engine": ENGINE}, current) == 0
@@ -139,6 +160,13 @@ class TestFailPaths:
         bad["approaches"]["Parrot"]["miss_rate"][0] = 0.30
         assert _run(tmp_path, {"faults": FAULTS}, {"faults": bad}) == 1
 
+    def test_adaptive_below_faster_forced_path_fails(self, tmp_path, capsys):
+        # 37/s is 0.925x the faster (sparse) arm: under the 0.95 floor,
+        # even though it beats the dense arm nearly fourfold.
+        current = {"engine": _sweep(adaptive=37.0)}
+        assert _run(tmp_path, {"engine": ENGINE}, current) == 1
+        assert "adaptive" in capsys.readouterr().err
+
     def test_threshold_flags_are_honored(self, tmp_path):
         current = {"engine": {**ENGINE, "batch_windows_per_second": 12.0}}
         assert _run(
@@ -169,6 +197,10 @@ class TestWarnAndPass:
         assert _run(tmp_path, {"serve": SERVE}, {"serve": old}) == 0
         out = capsys.readouterr().out
         assert "no sharded_obs_overhead_fraction" in out
+
+    def test_sweep_without_adaptive_arm_warns_and_passes(self, tmp_path, capsys):
+        assert _run(tmp_path, {"engine": ENGINE}, {"engine": _sweep()}) == 0
+        assert "no adaptive arm" in capsys.readouterr().out
 
     def test_missing_baseline_passes(self, tmp_path, capsys):
         assert _run(tmp_path, {}, {"engine": ENGINE}) == 0

@@ -57,16 +57,19 @@ class TestTable2Harness:
 
 
 class TestFig6Harness:
-    def test_sweep_shapes(self):
-        result = fig6.run(spike_windows=(8, 1), n_validation=80, rng=0)
+    @pytest.fixture(scope="class")
+    def result(self):
+        # fig6.run trains the parrot; both tests read one sweep.
+        return fig6.run(spike_windows=(8, 1), n_validation=80, rng=0)
+
+    def test_sweep_shapes(self, result):
         assert len(result.points) == 2
         assert result.points[0].spikes == 8
         assert result.points[0].throughput_cells_per_second == 125
         report = fig6.format_report(result)
         assert "8-spike" in report
 
-    def test_throughput_monotone(self):
-        result = fig6.run(spike_windows=(8, 1), n_validation=60, rng=0)
+    def test_throughput_monotone(self, result):
         assert (
             result.points[1].throughput_cells_per_second
             > result.points[0].throughput_cells_per_second

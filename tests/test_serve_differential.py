@@ -24,6 +24,8 @@ from repro.serve import (
     random_patch_rows,
 )
 
+from tests.engine_systems import tick_path
+
 
 def _small_scorer(coding="content", engine="batch"):
     network = EednNetwork(
@@ -92,18 +94,22 @@ class TestScorerDifferential:
 
 
 class TestEventEngineDifferential:
-    """The event engine through the serving stack, vs the batch engine.
+    """The ``event`` engine through the serving stack, vs ``batch``.
 
-    Served scores, cache identity, and attributed energy must match the
-    batch engine byte for byte — the engine choice is an implementation
-    detail the serving layer (and its cache) must be unable to observe.
+    Both names build the one compiled engine, so each arm forces its tick
+    path (``tests.engine_systems.tick_path``): ``batch`` dense every
+    tick, ``event`` sparse every tick. Served scores, cache identity,
+    and attributed energy must match byte for byte — the engine choice
+    is an implementation detail the serving layer (and its cache) must
+    be unable to observe.
     """
 
     def test_served_scores_bit_identical_to_batch(self):
         rows = np.random.default_rng(5).random((30, 8))
-        direct_batch = _small_scorer(engine="batch").decision_function(rows)
-        with InferenceService(
-            _small_scorer(engine="event"), max_batch_size=8, max_wait_ms=1.0
+        with tick_path("batch") as engine:
+            direct_batch = _small_scorer(engine=engine).decision_function(rows)
+        with tick_path("event") as engine, InferenceService(
+            _small_scorer(engine=engine), max_batch_size=8, max_wait_ms=1.0
         ) as svc:
             served_event = svc.score_many(rows)
         np.testing.assert_array_equal(direct_batch, served_event)
@@ -119,8 +125,9 @@ class TestEventEngineDifferential:
         scorer = _small_scorer(engine="event")
         rows = np.random.default_rng(6).random((10, 8))
         duplicated = np.vstack([rows, rows, rows])
-        direct = _small_scorer(engine="batch").decision_function(duplicated)
-        with InferenceService(scorer, max_batch_size=4) as svc:
+        with tick_path("batch"):
+            direct = _small_scorer(engine="batch").decision_function(duplicated)
+        with tick_path("event"), InferenceService(scorer, max_batch_size=4) as svc:
             svc.score_many(rows)  # warm the cache deterministically
             served = svc.score_many(duplicated)
             assert svc.stats.counter("cache_hits") == 30
@@ -137,7 +144,7 @@ class TestEventEngineDifferential:
         rows = np.random.default_rng(8).random((12, 8))
         totals = {}
         for engine in ("batch", "event"):
-            with InferenceService(
+            with tick_path(engine), InferenceService(
                 _small_scorer(engine=engine),
                 max_batch_size=4,
                 max_wait_ms=1.0,
@@ -162,8 +169,9 @@ class TestEventEngineDifferential:
                 chunk_size=5,
             )
 
-        direct = build(_small_scorer(engine="batch")).detect(image)
-        with InferenceService(
+        with tick_path("batch"):
+            direct = build(_small_scorer(engine="batch")).detect(image)
+        with tick_path("event"), InferenceService(
             _small_scorer(engine="event"), max_batch_size=8, max_wait_ms=1.0
         ) as svc:
             served = build(ServiceBackedScorer(svc)).detect(image)
